@@ -121,3 +121,18 @@ func TestRawHTMOpacityCleanRun(t *testing.T) {
 		t.Fatal("no attempt committed")
 	}
 }
+
+// TestRawHTMOpacitySeedSweep runs the fault-free raw-HTM workload over many
+// seeds. Commit ordering bugs are schedule-dependent: one seed can pass by
+// luck, while a sweep of short, highly contended runs reliably hits the
+// window between a committer's read validation and its write version.
+func TestRawHTMOpacitySeedSweep(t *testing.T) {
+	for seed := uint64(1); seed <= 24; seed++ {
+		base, initial, recs := RunRawHTM(RawConfig{
+			Threads: 4, Attempts: 400, Lines: 4, AccessesPerAttempt: 5, Seed: seed,
+		}, htm.Config{})
+		if err := CheckOpacity(base, initial, recs); err != nil {
+			t.Errorf("seed %d: opacity violated: %v", seed, err)
+		}
+	}
+}

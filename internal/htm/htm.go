@@ -3,8 +3,9 @@
 //
 // The engine follows the TL2 recipe — snapshot a global clock at begin,
 // validate each read against the snapshot, buffer writes, and at commit
-// lock the write-set lines, revalidate the read set, and publish — which
-// yields exactly the guarantees the paper's algorithms assume of real HTM:
+// lock the write-set lines, take a write version from the clock,
+// revalidate the read set, and publish — which yields exactly the
+// guarantees the paper's algorithms assume of real HTM:
 //
 //   - Strong atomicity per access: a non-transactional store (mem.Store)
 //     bumps the line version, dooming every in-flight transaction that read
@@ -501,6 +502,14 @@ func (t *Tx) commit() AbortReason {
 		t.rollbackLocks()
 		return Conflict
 	}
+	// Take the write version after locking and before validating, as TL2
+	// does. A writer that overwrites a line we read and ticks after us
+	// serializes after us, which matches what we read. One that ticked
+	// before us locked the line before its tick, so validation below
+	// finds it locked or newer than our snapshot. Ticking after
+	// validation instead would let a writer commit in between with a
+	// lower version than ours although we read the state before it.
+	wv := t.m.ClockTick()
 	// Validate the read set.
 	t.readLines.forEach(func(line uint64) bool {
 		if t.writeLines.contains(line) {
@@ -518,7 +527,6 @@ func (t *Tx) commit() AbortReason {
 		return Conflict
 	}
 	// Publish.
-	wv := t.m.ClockTick()
 	t.writes.forEachOrdered(func(a mem.Addr, v uint64) {
 		t.m.WordStore(a, v)
 	})

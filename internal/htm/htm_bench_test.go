@@ -7,7 +7,15 @@ import (
 )
 
 // Per-access and per-transaction costs of the simulated HTM, the
-// "hardware" side of DESIGN.md's cost model.
+// "hardware" side of DESIGN.md's cost model. Commit work follows the
+// footprint, not the configured capacity. On a 2-vCPU Xeon without RTM
+// (go1.24), in ns/op, all at 0 allocs/op:
+//
+//	TxReadOnly                    31–36
+//	TxReadWrite                   83–93   (1 read, 1 write)
+//	TxReadWriteWideCapacity       85–94   (same, ReadLines 8192)
+//	TxWide                       540–655  (16 line reads, 4 word writes)
+//	TxAbortExplicit              220–236
 
 func BenchmarkTxReadOnly(b *testing.B) {
 	m := mem.New(1 << 14)
@@ -24,6 +32,19 @@ func BenchmarkTxReadWrite(b *testing.B) {
 	m := mem.New(1 << 14)
 	a := m.AllocLines(1)
 	tx := NewTx(m, Config{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx.Run(func(tx *Tx) { tx.Write(a, tx.Read(a)+1) })
+	}
+}
+
+// BenchmarkTxReadWriteWideCapacity is BenchmarkTxReadWrite under a 16×
+// larger read-set capacity: commit cost must follow the footprint, not the
+// configured bound.
+func BenchmarkTxReadWriteWideCapacity(b *testing.B) {
+	m := mem.New(1 << 14)
+	a := m.AllocLines(1)
+	tx := NewTx(m, Config{ReadLines: 8192})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx.Run(func(tx *Tx) { tx.Write(a, tx.Read(a)+1) })

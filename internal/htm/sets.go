@@ -10,11 +10,14 @@ import "rtle/internal/mem"
 // Slots hold epoch<<32 | (line+1); a slot belongs to the current
 // generation only if its epoch matches. Line indices fit comfortably in
 // 32 bits (a 2^32-line heap would be 2 TiB of simulated memory).
+//
+// members lists the current generation densely, in insertion order, so
+// walking the set at commit costs its size rather than the table's.
 type lineSet struct {
-	slots []uint64
-	mask  uint64
-	n     int
-	epoch uint32
+	slots   []uint64
+	members []uint64
+	mask    uint64
+	epoch   uint32
 }
 
 func newLineSet(capacity int) *lineSet {
@@ -22,12 +25,17 @@ func newLineSet(capacity int) *lineSet {
 	for size < capacity*2 {
 		size <<= 1
 	}
-	return &lineSet{slots: make([]uint64, size), mask: uint64(size - 1), epoch: 1}
+	return &lineSet{
+		slots:   make([]uint64, size),
+		members: make([]uint64, 0, capacity),
+		mask:    uint64(size - 1),
+		epoch:   1,
+	}
 }
 
 // reset empties the set in O(1).
 func (s *lineSet) reset() {
-	s.n = 0
+	s.members = s.members[:0]
 	s.epoch++
 	if s.epoch == 0 { // epoch wrapped: lazily stale tags could collide
 		clear(s.slots)
@@ -35,7 +43,7 @@ func (s *lineSet) reset() {
 	}
 }
 
-func (s *lineSet) len() int { return s.n }
+func (s *lineSet) len() int { return len(s.members) }
 
 // add inserts line, reporting whether it was absent. The caller bounds
 // occupancy (capacity aborts fire before the table fills).
@@ -49,7 +57,7 @@ func (s *lineSet) add(line uint64) bool {
 		}
 		if uint32(slot>>32) != s.epoch || slot == 0 {
 			s.slots[i] = want
-			s.n++
+			s.members = append(s.members, line)
 			return true
 		}
 		i = (i + 1) & s.mask
@@ -72,16 +80,12 @@ func (s *lineSet) contains(line uint64) bool {
 	}
 }
 
-// forEach visits every member of the current generation.
+// forEach visits every member of the current generation in insertion
+// order, stopping early when fn returns false.
 func (s *lineSet) forEach(fn func(line uint64) bool) {
-	if s.n == 0 {
-		return
-	}
-	for _, slot := range s.slots {
-		if slot != 0 && uint32(slot>>32) == s.epoch {
-			if !fn((slot & 0xffffffff) - 1) {
-				return
-			}
+	for _, line := range s.members {
+		if !fn(line) {
+			return
 		}
 	}
 }
@@ -164,11 +168,11 @@ func (w *writeMap) put(a mem.Addr, v uint64) {
 }
 
 // forEachOrdered visits buffered stores in insertion order with their
-// final values.
+// final values. put appends order and vals in step and overwrites in
+// place, so vals[i] is already the final value of order[i].
 func (w *writeMap) forEachOrdered(fn func(a mem.Addr, v uint64)) {
-	for _, a := range w.order {
-		v, _ := w.get(a)
-		fn(a, v)
+	for i, a := range w.order {
+		fn(a, w.vals[i])
 	}
 }
 

@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -80,21 +81,55 @@ func TestLineSetEpochWrap(t *testing.T) {
 	}
 }
 
+// collect returns the lines forEach visits, in visiting order.
+func collect(s *lineSet) []uint64 {
+	var got []uint64
+	s.forEach(func(l uint64) bool { got = append(got, l); return true })
+	return got
+}
+
 func TestLineSetForEach(t *testing.T) {
 	s := newLineSet(16)
-	want := map[uint64]bool{3: true, 7: true, 11: true}
-	for l := range want {
+	want := []uint64{11, 3, 0, 7}
+	for _, l := range want {
 		s.add(l)
 	}
-	got := map[uint64]bool{}
-	s.forEach(func(l uint64) bool { got[l] = true; return true })
-	if len(got) != len(want) {
-		t.Fatalf("forEach visited %d, want %d", len(got), len(want))
+	s.add(3) // a repeat must not be visited twice
+	if got := collect(s); !slices.Equal(got, want) {
+		t.Fatalf("forEach visited %v, want %v (insertion order, once each)", got, want)
 	}
-	for l := range want {
-		if !got[l] {
-			t.Fatalf("forEach missed %d", l)
+}
+
+func TestLineSetForEachAfterReset(t *testing.T) {
+	s := newLineSet(8)
+	for l := uint64(0); l < 8; l++ {
+		s.add(l)
+	}
+	s.reset()
+	if got := collect(s); len(got) != 0 {
+		t.Fatalf("forEach after reset visited %v", got)
+	}
+	want := []uint64{5, 100, 2}
+	for _, l := range want {
+		s.add(l)
+	}
+	if got := collect(s); !slices.Equal(got, want) {
+		t.Fatalf("forEach after reset visited %v, want %v", got, want)
+	}
+}
+
+func TestLineSetForEachAcrossEpochWrap(t *testing.T) {
+	s := newLineSet(4)
+	s.epoch = ^uint32(0) - 1 // the second reset wraps the epoch
+	for gen := uint64(0); gen < 5; gen++ {
+		want := []uint64{gen*10 + 2, gen*10 + 1, gen * 10}
+		for _, l := range want {
+			s.add(l)
 		}
+		if got := collect(s); !slices.Equal(got, want) {
+			t.Fatalf("gen %d (epoch %d): forEach visited %v, want %v", gen, s.epoch, got, want)
+		}
+		s.reset()
 	}
 }
 
@@ -107,6 +142,11 @@ func TestLineSetForEachEarlyStop(t *testing.T) {
 	s.forEach(func(uint64) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("forEach continued after false: %d visits", n)
+	}
+	var got []uint64
+	s.forEach(func(l uint64) bool { got = append(got, l); return len(got) < 3 })
+	if !slices.Equal(got, []uint64{0, 1, 2}) {
+		t.Fatalf("forEach stopping at the third line visited %v", got)
 	}
 }
 
@@ -161,6 +201,23 @@ func TestWriteMapOrderPreserved(t *testing.T) {
 		if got[i] != a {
 			t.Fatalf("order[%d] = %d, want %d", i, got[i], a)
 		}
+	}
+}
+
+func TestWriteMapForEachOrderedLastValue(t *testing.T) {
+	w := newWriteMap(16)
+	w.put(4, 1)
+	w.put(8, 2)
+	w.put(4, 3) // the second write to 4 must be the one published
+	type kv struct {
+		a mem.Addr
+		v uint64
+	}
+	var got []kv
+	w.forEachOrdered(func(a mem.Addr, v uint64) { got = append(got, kv{a, v}) })
+	want := []kv{{4, 3}, {8, 2}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("forEachOrdered = %v, want %v", got, want)
 	}
 }
 

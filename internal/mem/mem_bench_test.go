@@ -47,9 +47,18 @@ func BenchmarkFetchAdd(b *testing.B) {
 }
 
 func BenchmarkAllocLines(b *testing.B) {
-	m := New((b.N + 2) * WordsPerLine * 2)
+	// A fixed heap, rebuilt off the clock whenever it fills, so the heap
+	// does not grow with b.N.
+	const lines = 1 << 12
+	newHeap := func() *Memory { return New((lines + 1) * WordsPerLine) }
+	m := newHeap()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%lines == 0 {
+			b.StopTimer()
+			m = newHeap()
+			b.StartTimer()
+		}
 		m.AllocLines(1)
 	}
 }

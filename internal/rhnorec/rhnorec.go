@@ -86,7 +86,7 @@ type thread struct {
 	writeVals  map[mem.Addr]uint64
 	writeOrder []mem.Addr
 
-	bumped    bool            // current HTM fast attempt had to bump the timestamp
+	bumped    bool            // current hardware attempt bumped the timestamp (HTMSlow)
 	committed core.CommitKind // bucket of the last successful software commit
 }
 
@@ -97,7 +97,6 @@ func (t *thread) Atomic(body func(core.Context)) {
 	t0 := t.rec.Begin()
 	r := t.method
 	for i := 0; i < r.attempts(); i++ {
-		t.rec.FastAttempt()
 		t.bumped = false
 		reason := t.tx.Run(func(tx *htm.Tx) {
 			// Subscribe to the fallback lock: a pessimistic commit
@@ -122,12 +121,22 @@ func (t *thread) Atomic(body func(core.Context)) {
 				t.bumped = true
 			}
 		})
-		if reason == htm.None {
-			if t.bumped {
-				t.rec.SlowCommit(t0) // HTMSlow in Fig. 9
-			} else {
-				t.rec.FastCommit(t0) // HTMFast in Fig. 9
+		// The attempt's path is known only once it has run: one that
+		// bumped the timestamp is HTMSlow in Fig. 9, any other HTMFast.
+		// Booking it here, still before its outcome, keeps each path's
+		// attempts >= commits + aborts.
+		if t.bumped {
+			t.rec.SlowAttempt()
+			if reason == htm.None {
+				t.rec.SlowCommit(t0)
+				return
 			}
+			t.rec.SlowAbort(reason, t.tx.LastAbortInjected())
+			continue
+		}
+		t.rec.FastAttempt()
+		if reason == htm.None {
+			t.rec.FastCommit(t0)
 			return
 		}
 		t.rec.FastAbort(reason, false, t.tx.LastAbortInjected())

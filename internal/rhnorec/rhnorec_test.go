@@ -106,6 +106,10 @@ func TestHTMBumpsTimestampWhileSoftwareRuns(t *testing.T) {
 	if hw.Stats().SlowCommits != 1 {
 		t.Fatalf("SlowCommits = %d, want 1 while software transaction runs", hw.Stats().SlowCommits)
 	}
+	// The attempt is booked on the path it committed on.
+	if s := hw.Stats(); s.SlowAttempts != 1 || s.FastAttempts != 0 {
+		t.Fatalf("attempts fast %d slow %d, want 0/1", s.FastAttempts, s.SlowAttempts)
+	}
 	if after := m.Load(meth.seqAddr); after != before+2 {
 		t.Fatalf("timestamp %d -> %d, want +2", before, after)
 	}

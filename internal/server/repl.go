@@ -242,11 +242,22 @@ func (r *replication) ack(sub *replSub, seq uint64) {
 }
 
 // setConn publishes the replica's live upstream connection so Promote and
-// Close can sever a blocked read.
+// Close can sever a blocked read. A connection published after
+// shutdownRunner has already severed (it closes stop first, then looks at
+// nc under connMu) is closed here instead; otherwise the runner would
+// block reading it forever and shutdownRunner would never return.
 func (r *replication) setConn(nc interface{ Close() error }) {
 	r.connMu.Lock()
 	r.nc = nc
 	r.connMu.Unlock()
+	if nc == nil {
+		return
+	}
+	select {
+	case <-r.stop:
+		_ = nc.Close() // closing a conn closeConn also closed is harmless
+	default:
+	}
 }
 
 // closeConn severs the live upstream connection, if any.

@@ -451,3 +451,30 @@ func TestFailoverUnderLoad(t *testing.T) {
 	t.Logf("failover run: ops=%d cut=%d notPrimaryRetries=%d reconnects=%d window=%v",
 		res.Ops, res.Cut, res.NotPrimaryRetries, res.Reconnects, res.FailoverWindow)
 }
+
+// closeRecorder is an upstream connection that records being closed.
+type closeRecorder struct{ closed bool }
+
+func (c *closeRecorder) Close() error { c.closed = true; return nil }
+
+// TestSetConnAfterShutdownCloses pins the replica shutdown race: the
+// runner can publish a freshly dialled stream after shutdownRunner has
+// already closed stop and found no connection to sever. That stream must
+// be closed on publication, or the runner blocks reading it and Close
+// never returns.
+func TestSetConnAfterShutdownCloses(t *testing.T) {
+	r := newReplication(nil, false, "127.0.0.1:1")
+	r.shutdownRunner() // the runner never started: nothing to wait for
+	nc := &closeRecorder{}
+	r.setConn(nc)
+	if !nc.closed {
+		t.Fatal("a stream published after shutdown was left open")
+	}
+
+	live := newReplication(nil, false, "127.0.0.1:1")
+	nc = &closeRecorder{}
+	live.setConn(nc)
+	if nc.closed {
+		t.Fatal("setConn closed a stream while the runner is live")
+	}
+}
