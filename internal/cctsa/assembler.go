@@ -81,9 +81,8 @@ type Result struct {
 	Contigs       [][]byte
 	TotalBases    int
 	// KmersInContigs is the total number of k-mers consumed across all
-	// contigs, Σ(len(contig)−k+1). Unlike TotalBases it is invariant
-	// under contig splits at thread race points, so it equals the
-	// number of solid k-mers regardless of thread count.
+	// contigs, Σ(len(contig)−k+1): each solid k-mer lands in exactly one
+	// contig, so it equals the number of solid k-mers.
 	KmersInContigs int
 	Longest        int
 	BuildTime      time.Duration
@@ -191,18 +190,96 @@ func (in *Input) assemble(store kmerStore, cfg Config) *Result {
 	res.ProcessTime = time.Since(pstart)
 	res.Total = res.BuildTime + res.ProcessTime
 
+	// Stitching is not part of the paper's workload, so it stays outside
+	// the timed phases.
+	var frags [][]byte
 	for _, cs := range contigs {
-		for _, c := range cs {
-			res.Contigs = append(res.Contigs, c)
-			res.TotalBases += len(c)
-			res.KmersInContigs += len(c) - cfg.K + 1
-			if len(c) > res.Longest {
-				res.Longest = len(c)
-			}
+		frags = append(frags, cs...)
+	}
+	res.Contigs = stitch(store, frags, cfg)
+	for _, c := range res.Contigs {
+		res.TotalBases += len(c)
+		res.KmersInContigs += len(c) - cfg.K + 1
+		if len(c) > res.Longest {
+			res.Longest = len(c)
 		}
 	}
 	res.DistinctKmers = store.distinct()
 	return res
+}
+
+// stitch joins contig fragments whose boundary k-mers are unitig
+// neighbours. A worker stops extending where another worker has already
+// claimed the next k-mer, so with several threads the fragment boundaries
+// depend on the schedule; joining across every such boundary leaves the
+// maximal unitigs, which do not. A circular unitig has no natural start,
+// so it is rotated to begin at its smallest k-mer. The result is the same
+// set of contigs for any thread count and any interleaving.
+func stitch(store kmerStore, frags [][]byte, cfg Config) [][]byte {
+	k := cfg.K
+	pack := func(seq []byte) uint64 {
+		v, _ := PackKmer(seq, k) // contigs hold only unpacked k-mers: always valid
+		return v
+	}
+	first := make(map[uint64]int, len(frags))
+	for i, f := range frags {
+		first[pack(f)] = i
+	}
+	// next[i] is the fragment that continues fragment i, or -1.
+	next := make([]int, len(frags))
+	hasPrev := make([]bool, len(frags))
+	for i, f := range frags {
+		next[i] = -1
+		last := pack(f[len(f)-k:])
+		succ, ok := uniqueSuccessor(store, last, cfg)
+		if !ok || !uniqueJoin(store, succ, last, cfg, true) {
+			continue
+		}
+		if j, ok := first[succ]; ok {
+			next[i] = j
+			hasPrev[j] = true
+		}
+	}
+	done := make([]bool, len(frags))
+	join := func(start int) []byte {
+		contig := append([]byte(nil), frags[start]...)
+		done[start] = true
+		for j := next[start]; j >= 0 && !done[j]; j = next[j] {
+			contig = append(contig, frags[j][k-1:]...)
+			done[j] = true
+		}
+		return contig
+	}
+	var out [][]byte
+	for i := range frags {
+		if !hasPrev[i] {
+			out = append(out, join(i))
+		}
+	}
+	for i := range frags {
+		if !done[i] {
+			out = append(out, rotateCycle(join(i), k))
+		}
+	}
+	return out
+}
+
+// rotateCycle rotates a circular unitig to start at its smallest k-mer.
+// c spells the cycle's n k-mers once each, so it has n+k-1 bases and
+// repeats with period n.
+func rotateCycle(c []byte, k int) []byte {
+	n := len(c) - k + 1
+	best, bestV := 0, uint64(0)
+	for i := 0; i < n; i++ {
+		if v, _ := PackKmer(c[i:], k); i == 0 || v < bestV {
+			best, bestV = i, v
+		}
+	}
+	out := make([]byte, len(c))
+	for i := range out {
+		out[i] = c[(best+i)%n]
+	}
+	return out
 }
 
 // N50 returns the standard assembly-quality metric: the length L such

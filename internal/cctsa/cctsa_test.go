@@ -2,6 +2,8 @@ package cctsa
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -219,9 +221,8 @@ func TestAssemblyVariantsAgree(t *testing.T) {
 	if tx.DistinctKmers != orig.DistinctKmers {
 		t.Fatalf("distinct k-mers differ: tx %d vs original %d", tx.DistinctKmers, orig.DistinctKmers)
 	}
-	// Contig boundaries depend on thread races, but the k-mers consumed
-	// across all contigs must equal the solid-k-mer population either
-	// way (MinCount is 1 here, so every distinct k-mer is solid).
+	// The k-mers consumed across all contigs must equal the solid-k-mer
+	// population (MinCount is 1 here, so every distinct k-mer is solid).
 	if tx.KmersInContigs != tx.DistinctKmers {
 		t.Fatalf("transactified: %d k-mers in contigs, want %d", tx.KmersInContigs, tx.DistinctKmers)
 	}
@@ -277,6 +278,33 @@ func TestAssemblyWithErrorsFiltersWeakKmers(t *testing.T) {
 	for _, contig := range res.Contigs {
 		if len(contig) >= 200 && !bytes.Contains(in.Genome, contig) {
 			t.Fatalf("a long contig (len %d) is not a genome substring — error k-mers leaked through", len(contig))
+		}
+	}
+}
+
+// TestAssemblyScheduleIndependent: workers split unitigs wherever another
+// worker got there first, and stitching must undo every such split, so
+// the contigs from 2 and 4 threads are exactly those from 1 thread.
+func TestAssemblyScheduleIndependent(t *testing.T) {
+	sorted := func(cfg Config) []string {
+		res := Prepare(cfg).RunTransactified(func(m *mem.Memory) core.Method {
+			return core.NewTLE(m, core.Policy{})
+		})
+		out := make([]string, len(res.Contigs))
+		for i, c := range res.Contigs {
+			out[i] = string(c)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		cfg := Config{GenomeLen: 2000, Coverage: 30, ErrorRate: 0.002, MinCount: 3, Threads: 1, Seed: seed}
+		want := sorted(cfg)
+		for _, threads := range []int{2, 4} {
+			cfg.Threads = threads
+			if got := sorted(cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d, %d threads: %d contigs differ from the %d of 1 thread", seed, threads, len(got), len(want))
+			}
 		}
 	}
 }

@@ -28,14 +28,15 @@ import (
 // later Open knows where the retained suffix starts.
 type Log struct {
 	mu      sync.Mutex
-	floor   uint64  // highest compacted-away sequence; entries[i].Seq == floor+i+1
+	floor   uint64 // highest compacted-away sequence; entries[i].Seq == floor+i+1
 	entries []Entry
 	bytes   int64  // encoded size of retained entry records (header + payload)
 	truncs  uint64 // completed truncations (TruncateBelow / ResetTo)
 	path    string // file-mirror path; "" when memory-only
 	f       *os.File
 	bw      *bufio.Writer
-	err     error // sticky file-append error; the memory log stays authoritative
+	err     error  // sticky file-append error; the memory log stays authoritative
+	rec     []byte // record encode scratch for the file mirror, guarded by mu
 	subs    map[chan struct{}]struct{}
 }
 
@@ -164,8 +165,7 @@ func (l *Log) append(e Entry) {
 	l.entries = append(l.entries, e)
 	l.bytes += recordBytes(&e)
 	if l.bw != nil && l.err == nil {
-		payload := AppendEntryPayload(nil, &e)
-		if err := writeRecord(l.bw, payload); err != nil {
+		if err := l.writeEntry(l.bw, &e); err != nil {
 			l.err = err
 		} else if err := l.bw.Flush(); err != nil {
 			// Flush per append: the file is only useful if it tracks the
@@ -182,15 +182,32 @@ func (l *Log) append(e Entry) {
 	}
 }
 
+// recordHeader is the space a record reserves for its `u32 len | u32
+// crc32` header, filled in by sealRecord once the payload follows it.
+var recordHeader [8]byte
+
+// sealRecord fills in the header of rec, one record whose payload follows
+// its reserved header bytes, and returns rec.
+func sealRecord(rec []byte) []byte {
+	payload := rec[len(recordHeader):]
+	binary.BigEndian.PutUint32(rec[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
+	return rec
+}
+
 // writeRecord writes one `u32 len | u32 crc32 | payload` record.
 func writeRecord(w io.Writer, payload []byte) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	rec := append(make([]byte, len(recordHeader), len(recordHeader)+len(payload)), payload...)
+	_, err := w.Write(sealRecord(rec))
+	return err
+}
+
+// writeEntry writes e as one record, encoded in the log's scratch buffer
+// so that a steady stream of appends does not allocate. Called with mu
+// held.
+func (l *Log) writeEntry(w io.Writer, e *Entry) error {
+	l.rec = sealRecord(AppendEntryPayload(append(l.rec[:0], recordHeader[:]...), e))
+	_, err := w.Write(l.rec)
 	return err
 }
 
@@ -267,7 +284,7 @@ func (l *Log) rewriteLocked() error {
 			}
 		}
 		for i := range l.entries {
-			if err := writeRecord(bw, AppendEntryPayload(nil, &l.entries[i])); err != nil {
+			if err := l.writeEntry(bw, &l.entries[i]); err != nil {
 				return err
 			}
 		}

@@ -150,3 +150,37 @@ func TestWireFastPathAllocBudget(t *testing.T) {
 		t.Errorf("wire fast path allocates %.1f times per request, want 0", allocs)
 	}
 }
+
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
+// TestClientRoundTripAllocBudget extends the zero-alloc budget past the
+// harness to a real round trip: Client.DoInto over loopback to an
+// in-process server, through the group-commit queue, the read loop's
+// demultiplexer and the server's serving loops. AllocsPerRun counts every
+// goroutine's allocations, so the server's share is in the budget too.
+func TestClientRoundTripAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	_, addr := startServer(t, Config{Workload: "map", Method: "TLE", Workers: 1, Keys: 64})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var res [1]Result
+	req := Request{Op: check.OpPut, Arg2: 42}
+	run := func() {
+		req.Arg1 = (req.Arg1 + 1) % 64
+		if _, err := c.DoInto(&req, res[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		run() // warm up: pools, queue buffers and map nodes reach steady state
+	}
+	if allocs := testing.AllocsPerRun(1000, run); allocs > 0 {
+		t.Errorf("client round trip allocates %.1f times per request, want 0", allocs)
+	}
+}

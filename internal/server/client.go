@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -20,8 +21,14 @@ type Client struct {
 	nc    net.Conn
 	hello ServerHello // the server's negotiation answer, fixed at Dial
 
-	wmu  sync.Mutex // one frame per Write call, serialized
-	wbuf []byte     // encode scratch, owned by wmu: the request frame reuses it
+	// Request writes are group-committed: callers append their frames to
+	// wq, and one of them at a time (the flusher) drains it with one Write
+	// per burst. The two buffers trade places on every flush, so the
+	// steady state allocates nothing.
+	wmu      sync.Mutex
+	wq       []byte // encoded request frames not yet handed to Write; owned by wmu
+	wspare   []byte // the flusher's next queue buffer; owned by the flusher
+	flushing bool   // a flusher is draining wq; owned by wmu
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signaled when pending shrinks or the client dies
@@ -274,9 +281,13 @@ func (c *Client) CloseContext(ctx context.Context) error {
 	return err
 }
 
-// send registers a pooled pending call, encodes req with a fresh id into
-// the client's write scratch, and writes the frame. The caller owns the
-// returned call until the response arrives; error paths never return one.
+// send registers a pooled pending call and queues req, encoded with a
+// fresh id, for the connection. If another caller is already flushing, the
+// frame rides that caller's next Write and send returns at once; otherwise
+// this caller becomes the flusher. The caller owns the returned call until
+// the response arrives; error paths never return one. A failed Write
+// surfaces through the call, not here: it fails the whole client, which
+// closes every registered call's channel.
 //
 //rtle:hotpath
 func (c *Client) send(req *Request, res []Result) (*pendingCall, error) {
@@ -299,19 +310,58 @@ func (c *Client) send(req *Request, res []Result) (*pendingCall, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	c.wbuf = AppendRequest(c.wbuf[:0], req)
-	_, err := c.nc.Write(c.wbuf)
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		// The call is not recycled: the read loop may have raced a
-		// response into its channel (or fail may close it) — either way
-		// its channel is no longer provably empty and open.
-		return nil, fmt.Errorf("%w: %v", ErrConnClosed, err)
+	c.wq = AppendRequest(c.wq, req)
+	if c.flushing {
+		c.wmu.Unlock()
+		return call, nil
 	}
+	c.flushing = true
+	c.wmu.Unlock()
+	// Yield once before the first Write: the callers woken by the same
+	// burst of responses get to append their frames, so the burst leaves
+	// in one syscall instead of queueing behind one syscall each.
+	runtime.Gosched()
+	c.flush()
 	return call, nil
+}
+
+// flush writes the queue until it is empty, swapping in the spare buffer
+// so callers keep appending while a Write is in progress. Called by the
+// one caller that set flushing.
+//
+//rtle:hotpath
+func (c *Client) flush() {
+	c.wmu.Lock()
+	for len(c.wq) > 0 {
+		buf := c.wq
+		c.wq = c.wspare[:0]
+		c.wmu.Unlock()
+		_, err := c.nc.Write(buf)
+		c.wspare = buf[:0]
+		if err != nil {
+			c.failWrite(err)
+			return
+		}
+		c.wmu.Lock()
+	}
+	c.flushing = false
+	c.wmu.Unlock()
+}
+
+// failWrite handles a failed request Write: the stream may now be torn, so
+// the client dies with a transport error and the connection closes. fail
+// closes the channel of every registered call, including those whose
+// frames are still queued; the queue is dropped so no later flusher sends
+// a frame whose caller has already been failed.
+//
+//rtle:coldpath
+func (c *Client) failWrite(err error) {
+	c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
+	_ = c.nc.Close() // the write error is the one callers see
+	c.wmu.Lock()
+	c.wq = c.wq[:0]
+	c.flushing = false
+	c.wmu.Unlock()
 }
 
 // Do issues req and blocks for its response. The request's ID field is

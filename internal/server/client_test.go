@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,5 +105,180 @@ func TestCloseContextExpiredDeadline(t *testing.T) {
 	}
 	if _, err := c.Op(check.OpGet, 1, 0, 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("request after forced close returned %v, want ErrClosed", err)
+	}
+}
+
+// TestClientGroupCommitRoutesResponses drives many pipelined callers
+// through one client, so their frames share Writes, and checks every
+// response belongs to its own request: each caller counts up its own key
+// with OpAdd, so a response routed to the wrong caller carries the wrong
+// running total.
+func TestClientGroupCommitRoutesResponses(t *testing.T) {
+	const callers, perCaller = 64, 2000
+	_, addr := startServer(t, Config{Workload: "map", Keys: callers})
+	c, err := DialContext(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(key uint64) {
+			defer wg.Done()
+			var res [1]Result
+			for i := uint64(1); i <= perCaller; i++ {
+				req := Request{Op: check.OpAdd, Arg1: key, Arg2: 1}
+				resp, err := c.DoInto(&req, res[:])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if resp.ID != req.ID || resp.Status != StatusOK || len(resp.Results) != 1 || resp.Results[0].Ret != i {
+					errs <- fmt.Errorf("key %d op %d: got %+v for request id %d, want total %d", key, i, resp, req.ID, i)
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// scriptedConn wraps a client's connection so a test can fail or stall
+// its request Writes.
+type scriptedConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes int
+	failAt int           // the failAt-th Write (1-based) fails; 0 never
+	hold   chan struct{} // non-nil: the first Write waits until it is closed
+	held   chan struct{} // closed when the first Write starts waiting
+}
+
+var errScripted = errors.New("scripted write failure")
+
+func (sc *scriptedConn) Write(p []byte) (int, error) {
+	sc.mu.Lock()
+	sc.writes++
+	n := sc.writes
+	sc.mu.Unlock()
+	if n == 1 && sc.hold != nil {
+		close(sc.held)
+		<-sc.hold
+	}
+	if n == sc.failAt {
+		return 0, errScripted
+	}
+	return sc.Conn.Write(p)
+}
+
+// dialScripted dials the server and routes the client's request Writes
+// (and Close) through sc. The read loop keeps reading the real socket.
+func dialScripted(t *testing.T, addr string, sc *scriptedConn) *Client {
+	t.Helper()
+	c, err := DialContext(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Conn = c.nc
+	c.nc = sc
+	return c
+}
+
+// waitAll fails the test if wg does not finish within d: a caller stuck
+// on a frame that was never written would hang forever.
+func waitAll(t *testing.T, wg *sync.WaitGroup, d time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatal("callers still blocked: a queued request was stranded")
+	}
+}
+
+// TestClientFailedWriteFailsEveryQueuedCaller fails one group-commit Write
+// mid-run. Every caller whose frame was in that batch or queued after it
+// must return an ErrConnClosed error rather than hang, and later requests
+// must see the sticky error.
+func TestClientFailedWriteFailsEveryQueuedCaller(t *testing.T) {
+	_, addr := startServer(t, Config{Workload: "map", Keys: 64})
+	sc := &scriptedConn{failAt: 20}
+	c := dialScripted(t, addr, sc)
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func(key uint64) {
+			defer wg.Done()
+			var res [1]Result
+			for {
+				req := Request{Op: check.OpAdd, Arg1: key, Arg2: 1}
+				if _, err := c.DoInto(&req, res[:]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	waitAll(t, &wg, 30*time.Second)
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, ErrConnClosed) {
+			t.Errorf("caller failed with %v, want ErrConnClosed", err)
+		}
+	}
+	if _, err := c.Op(check.OpGet, 1, 0, 0); !errors.Is(err, ErrConnClosed) {
+		t.Errorf("request after the failed write returned %v, want the sticky ErrConnClosed", err)
+	}
+}
+
+// TestClientQueuedFrameNotStranded stalls the flusher's first Write until
+// a second caller has queued its frame behind it. The flusher must pick
+// that frame up once its Write returns, so both calls complete.
+func TestClientQueuedFrameNotStranded(t *testing.T) {
+	_, addr := startServer(t, Config{Workload: "map", Keys: 64})
+	sc := &scriptedConn{hold: make(chan struct{}), held: make(chan struct{})}
+	c := dialScripted(t, addr, sc)
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	call := func(key uint64) {
+		defer wg.Done()
+		_, err := c.Op(check.OpPut, key, key, 0)
+		errs <- err
+	}
+	wg.Add(2)
+	go call(1)
+	<-sc.held // the first caller is flushing, stalled inside Write
+	go call(2)
+	for queued := false; !queued; {
+		time.Sleep(time.Millisecond)
+		c.wmu.Lock()
+		queued = len(c.wq) > 0
+		c.wmu.Unlock()
+	}
+	close(sc.hold)
+	waitAll(t, &wg, 10*time.Second)
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Errorf("call failed: %v", err)
+		}
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.writes != 2 {
+		t.Errorf("%d Writes, want 2: the stalled one and the queued frame's", sc.writes)
 	}
 }

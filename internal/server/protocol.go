@@ -400,15 +400,19 @@ func AppendReplAck(buf []byte, seq uint64) []byte {
 }
 
 // readFrame reads one length-prefixed payload from r into buf (grown as
-// needed), returning the payload slice.
+// needed), returning the payload slice. The length prefix is read into
+// buf too: a local array handed to the io.Reader would escape, costing an
+// allocation per frame.
 //
 //rtle:hotpath
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 64) //rtle:ignore hotalloc first frame only: the buffer is reused across reads
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > maxFrame {
 		//rtle:ignore hotalloc malformed-frame error path; the conn is about to drop
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)

@@ -100,6 +100,7 @@ func (s *Server) worker(sh *shard) {
 	group := make([]*task, 0, s.cfg.Coalesce)
 	probe := &abortProbe{stats: thread.Stats()} //rtle:ignore hotalloc worker-lifetime scratch; allocated once per worker and reused for every block
 	replBuf := make([]repl.Op, 0, slots)
+	blk := newBlockBodies(ex, results)
 
 	for {
 		t, ok := <-sh.queue
@@ -121,7 +122,7 @@ func (s *Server) worker(sh *shard) {
 				//rtle:ignore hotalloc a ping carries no results; respond encodes nil as the empty set without growing it
 				s.respond(t, nil, Response{ID: t.req.ID, Status: StatusOK})
 			case OpBatch:
-				s.runBatch(sh, ex, thread, t, results, probe, replBuf)
+				s.runBatch(sh, thread, blk, t, probe, replBuf)
 			default:
 				group = append(group[:0], t)
 				window := sh.coal.Window()
@@ -138,7 +139,7 @@ func (s *Server) worker(sh *shard) {
 				if carry == nil && len(group) < window {
 					carry = s.fillGroup(sh, &group, window)
 				}
-				s.runGroup(sh, ex, thread, group, results, probe, replBuf)
+				s.runGroup(sh, thread, blk, group, probe, replBuf)
 			}
 			t = carry
 		}
@@ -215,21 +216,59 @@ func (s *Server) runFastSection(sh *shard, body func(), ops []repl.Op) uint64 {
 	return bar
 }
 
+// blockBodies is a worker's pair of atomic-block bodies, built once per
+// worker. The block to run is staged in group or entries before each call:
+// a body handed to core.Thread.Atomic, an interface method, escapes, so a
+// closure built per block would allocate on every block.
+type blockBodies struct {
+	ex      *executor
+	results []Result
+	group   []*task      // the coalesced single ops groupBody runs
+	entries []BatchEntry // the client batch batchBody runs
+	groupFn func(core.Context)
+	batchFn func(core.Context)
+}
+
+func newBlockBodies(ex *executor, results []Result) *blockBodies {
+	b := &blockBodies{ex: ex, results: results} //rtle:ignore hotalloc worker-lifetime scratch; allocated once per worker and reused for every block
+	b.groupFn, b.batchFn = b.groupBody, b.batchBody
+	return b
+}
+
+// groupBody runs each task of the staged group in its own executor slot.
+// Bodies are re-executable: every retry overwrites the result slots.
+//
+//rtle:hotpath
+func (b *blockBodies) groupBody(c core.Context) {
+	for i, t := range b.group {
+		b.results[i] = b.ex.run(c, i, t.req.Op, t.req.Arg1, t.req.Arg2, t.req.Arg3)
+	}
+}
+
+// batchBody runs each entry of the staged client batch in its own slot.
+//
+//rtle:hotpath
+func (b *blockBodies) batchBody(c core.Context) {
+	for i := range b.entries {
+		e := &b.entries[i]
+		b.results[i] = b.ex.run(c, i, e.Op, e.Arg1, e.Arg2, e.Arg3)
+	}
+}
+
 // runGroup executes every task of group inside one atomic block on sh,
 // each in its own executor slot, then finalizes and answers them.
-func (s *Server) runGroup(sh *shard, ex *executor, thread core.Thread, group []*task, results []Result, probe *abortProbe, replBuf []repl.Op) {
+func (s *Server) runGroup(sh *shard, thread core.Thread, blk *blockBodies, group []*task, probe *abortProbe, replBuf []repl.Op) {
 	var ops []repl.Op
 	if r := s.repl; r != nil && r.primary() {
 		ops = replGroupOps(replBuf, group)
 	}
+	ex, results := blk.ex, blk.results
+	blk.group = group
 	start := time.Now()
-	bar := s.runFastSection(sh, func() { //rtle:ignore hotalloc block-body closure pair; runFastSection and Atomic call them inline, so they stay on the stack
-		thread.Atomic(func(c core.Context) {
-			for i, t := range group {
-				results[i] = ex.run(c, i, t.req.Op, t.req.Arg1, t.req.Arg2, t.req.Arg3)
-			}
-		})
+	bar := s.runFastSection(sh, func() { //rtle:ignore hotalloc runFastSection calls the body inline, so the closure stays on the stack
+		thread.Atomic(blk.groupFn)
 	}, ops)
+	blk.group = nil
 	sh.sectionDone(start, probe)
 	if len(group) > 1 {
 		sh.m.coalesced.Add(uint64(len(group)))
@@ -251,21 +290,19 @@ func (s *Server) runGroup(sh *shard, ex *executor, thread core.Thread, group []*
 // runBatch executes one single-shard client batch inside one atomic block
 // — the protocol's atomicity contract — and answers with per-entry
 // results. Batches spanning several shards take the slow path instead.
-func (s *Server) runBatch(sh *shard, ex *executor, thread core.Thread, t *task, results []Result, probe *abortProbe, replBuf []repl.Op) {
+func (s *Server) runBatch(sh *shard, thread core.Thread, blk *blockBodies, t *task, probe *abortProbe, replBuf []repl.Op) {
 	entries := t.req.Batch
 	var ops []repl.Op
 	if r := s.repl; r != nil && r.primary() {
 		ops = replBatchOps(replBuf, entries)
 	}
+	ex, results := blk.ex, blk.results
+	blk.entries = entries
 	start := time.Now()
-	bar := s.runFastSection(sh, func() { //rtle:ignore hotalloc block-body closure pair; runFastSection and Atomic call them inline, so they stay on the stack
-		thread.Atomic(func(c core.Context) {
-			for i := range entries {
-				e := &entries[i]
-				results[i] = ex.run(c, i, e.Op, e.Arg1, e.Arg2, e.Arg3)
-			}
-		})
+	bar := s.runFastSection(sh, func() { //rtle:ignore hotalloc runFastSection calls the body inline, so the closure stays on the stack
+		thread.Atomic(blk.batchFn)
 	}, ops)
+	blk.entries = nil
 	sh.sectionDone(start, probe)
 	sh.m.batchOps.Add(uint64(len(entries)))
 	for i := range entries {

@@ -7,10 +7,9 @@
 # was produced with: a single deeply pipelined connection (so every cell
 # exercises the vectored write coalescer and the reader's affinity runs at
 # full depth) swept across shard counts, coalesce caps, and scheduler
-# widths. On a single-core container the GOMAXPROCS axis is what makes
-# shard scaling visible: at 1 proc the unsharded server wins on batching;
-# at 4 procs lock-holder preemption bites the single coarse gate and the
-# sharded cells pull ahead.
+# widths. BENCH_8.json was recorded on a 2-core host. In its closed-loop
+# cells the sharded servers beat the single shard only at 2 procs with
+# coalesce=8; the best cell at every proc count is unsharded.
 #
 # Environment overrides (defaults in parentheses):
 #   SWEEP_SHARDS     shard counts                 (1,2,4)
