@@ -165,13 +165,13 @@ type Metrics struct {
 	// saved.
 	writeBatchFrames obs.Histogram
 
-	// affineOps counts operations handed to their shard queue by an
-	// affinity run: the reader chained consecutive same-shard single ops
-	// and delivered the chain in one queue send, skipping the per-op
-	// channel hop.
+	// affineOps counts every fast-path operation accepted onto a shard
+	// queue. Each one arrives in a chain (an affinity run, one op long when
+	// nothing follows it on the same shard), so this is all accepted
+	// fast-path traffic, not a subset.
 	affineOps atomic.Uint64
-	// affineRuns counts the chains themselves (affineOps / affineRuns is
-	// the mean run length).
+	// affineRuns counts the chains, one per queue send (affineOps /
+	// affineRuns is the mean run length).
 	affineRuns atomic.Uint64
 
 	// shards holds the per-shard execution metrics, attached by New and
@@ -244,9 +244,9 @@ func (m *Metrics) CrossShard() uint64 { return m.crossOps.Load() }
 // negotiation.
 func (m *Metrics) HelloRejects() uint64 { return m.helloRejects.Load() }
 
-// AffineOps returns the number of operations delivered to their shard by
-// an affinity run (chained same-shard handoff) rather than a per-op queue
-// send.
+// AffineOps returns the number of fast-path operations accepted onto a
+// shard queue. Every one arrives in a chain, so this counts all accepted
+// fast-path operations; slow-path and rejected ones are not included.
 func (m *Metrics) AffineOps() uint64 { return m.affineOps.Load() }
 
 // WriteBatches returns a snapshot of the frames-per-writev distribution.
@@ -461,11 +461,11 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		p("rtled_repl_log_truncations_total %d\n", st.Truncations)
 	}
 
-	p("# HELP rtled_affine_ops_total Operations handed to their shard by a chained affinity run.\n")
+	p("# HELP rtled_affine_ops_total Fast-path operations accepted onto a shard queue; each arrives in an affinity-run chain.\n")
 	p("# TYPE rtled_affine_ops_total counter\n")
 	p("rtled_affine_ops_total %d\n", m.affineOps.Load())
 
-	p("# HELP rtled_affine_runs_total Affinity-run chains delivered (ops/runs is the mean run length).\n")
+	p("# HELP rtled_affine_runs_total Affinity-run chains accepted onto shard queues, one per queue send (ops/runs is the mean run length).\n")
 	p("# TYPE rtled_affine_runs_total counter\n")
 	p("rtled_affine_runs_total %d\n", m.affineRuns.Load())
 

@@ -159,7 +159,7 @@ func TestCoalescing(t *testing.T) {
 }
 
 // TestBackpressure exercises the admission path directly: with a full
-// queue, admit must answer StatusBusy with a retry hint instead of
+// queue, admission must answer StatusBusy with a retry hint instead of
 // blocking, and the rejection must leave no task accounting behind.
 func TestBackpressure(t *testing.T) {
 	srv, err := New(Config{Workload: "set", QueueDepth: 1, Keys: 8})
@@ -169,8 +169,8 @@ func TestBackpressure(t *testing.T) {
 	// No workers are running (Listen was never called), so the first
 	// admission fills the queue and the second must bounce.
 	c := &conn{out: make(chan *frameBuf, 4)}
-	srv.admit(c, Request{ID: 1, Op: check.OpContains, Arg1: 1})
-	srv.admit(c, Request{ID: 2, Op: check.OpContains, Arg1: 2})
+	deliver(srv, c, []Request{{ID: 1, Op: check.OpContains, Arg1: 1}}, nil)
+	deliver(srv, c, []Request{{ID: 2, Op: check.OpContains, Arg1: 2}}, nil)
 
 	frame := <-c.out
 	resp, err := DecodeResponse(frame.b[4:])

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,7 +153,9 @@ func TestFramePoolTeardownRace(t *testing.T) {
 
 // TestAffinityRunDelivery pushes a deeply pipelined single-shard burst
 // through a live server and checks the affinity path actually engaged: the
-// ops all complete, and the affine counters account a multi-op run.
+// ops all complete, the affine counters account a multi-op run, and every
+// op answered StatusOK was counted as affine — each accepted fast-path op
+// reaches its shard in a chain.
 func TestAffinityRunDelivery(t *testing.T) {
 	srv, err := New(Config{Workload: "set", Keys: 64, Workers: 1, Shards: 1})
 	if err != nil {
@@ -176,6 +179,7 @@ func TestAffinityRunDelivery(t *testing.T) {
 	// runs chain on.
 	const ops = 2000
 	var wg sync.WaitGroup
+	var okOps atomic.Uint64
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -193,10 +197,21 @@ func TestAffinityRunDelivery(t *testing.T) {
 					t.Errorf("op answered %v", resp.Status)
 					return
 				}
+				if resp.Status == StatusOK {
+					okOps.Add(1)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	// A reader counts a chain after its queue send, so the last answers
+	// can reach the client first. Shutdown returns only once every reader
+	// has exited, which makes the counters final.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 
 	m := srv.Metrics()
 	if m.AffineOps() == 0 {
@@ -204,5 +219,8 @@ func TestAffinityRunDelivery(t *testing.T) {
 	}
 	if runs := m.affineRuns.Load(); runs > 0 && m.AffineOps() <= runs {
 		t.Errorf("affine ops %d never exceeded runs %d: chains all had length 1", m.AffineOps(), runs)
+	}
+	if got, want := m.AffineOps(), okOps.Load(); got != want {
+		t.Errorf("affine ops %d, want every StatusOK answer (%d)", got, want)
 	}
 }
